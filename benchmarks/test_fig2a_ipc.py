@@ -12,7 +12,8 @@ Shape assertions against the paper:
 import pytest
 
 from conftest import kernel_row
-from repro.eval import measure_kernel
+from repro.api import CoreBackend, Workload
+from repro.eval import KernelMeasurement
 from repro.kernels.registry import KERNELS
 
 #: Paper Fig. 2a bar values (baseline, COPIFT).
@@ -28,9 +29,13 @@ PAPER_IPC = {
 
 def test_measure_one_kernel(benchmark):
     """Times one paired measurement (the unit of Fig. 2 work)."""
-    result = benchmark.pedantic(
-        measure_kernel, args=(KERNELS["expf"],),
-        kwargs={"n": 1024}, rounds=1, iterations=1)
+    def measure():
+        backend = CoreBackend()
+        return KernelMeasurement.from_records(
+            backend.run(Workload("expf", "baseline", n=1024), check=True),
+            backend.run(Workload("expf", "copift", n=1024), check=True))
+
+    result = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert result.copift.ipc > 1.0
 
 

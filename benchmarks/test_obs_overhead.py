@@ -21,10 +21,9 @@ leaves an overhead trajectory next to the throughput numbers.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
+from _bench import merge_sections
 from repro.kernels.registry import kernel
 from repro.obs import ObsSink
 
@@ -36,8 +35,6 @@ REPS = 3
 #: the default path (the tentpole's "low-overhead" contract).
 MAX_DISABLED_RATIO = 1.02
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 
 
 def _time_run(obs=None) -> float:
@@ -96,11 +93,4 @@ class TestObsOverhead:
         assert payload["disabled_ratio"] <= MAX_DISABLED_RATIO, payload
 
         assert payload["events_enabled"] > 0
-        merged = {}
-        if os.path.exists(BENCH_PATH):
-            with open(BENCH_PATH) as handle:
-                merged = json.load(handle)
-        merged["obs_overhead"] = payload
-        with open(BENCH_PATH, "w") as handle:
-            json.dump(merged, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        merge_sections({"obs_overhead": payload})

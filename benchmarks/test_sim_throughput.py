@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from _bench import BENCH_PATH, merge_sections
 from repro.kernels.registry import KERNELS
 
 #: Problem size per cell: large enough to be steady-state dominated.
@@ -30,9 +31,7 @@ N = 2048
 #: Repetitions per cell (best-of).
 REPS = 3
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
-BASELINE_PATH = os.path.join(_REPO_ROOT, "benchmarks",
+BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BASELINE_sim.json")
 
 
@@ -97,16 +96,8 @@ def bench() -> dict:
         payload["speedup_vs_baseline"] = round(
             payload["total"]["instr_per_sec"]
             / baseline["total"]["instr_per_sec"], 3)
-    # The batch-engine benchmark merges its own section into the same
-    # file (see test_batch_throughput.py); carry it across rewrites.
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH) as handle:
-            prior = json.load(handle)
-        if "batch_engine" in prior:
-            payload["batch_engine"] = prior["batch_engine"]
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    # The other benchmark modules own the file's other sections.
+    merge_sections(payload)
     return payload
 
 

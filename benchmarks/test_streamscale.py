@@ -16,9 +16,7 @@ artifact.
 
 from __future__ import annotations
 
-import json
-import os
-
+from _bench import merge_sections
 from repro.eval.streamscale import generate
 
 #: Arrival window per replication: long enough for stable percentiles,
@@ -32,8 +30,6 @@ SEEDS = (1, 2)
 #: catches an inverted or disconnected arbiter without flaking).
 MIN_SEPARATION = 2.0
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 
 
 def measure() -> dict:
@@ -64,11 +60,4 @@ class TestStreamscale:
         assert payload["knee_throughput_per_mcycle"] > 0, payload
         assert payload["knee_separation"] >= MIN_SEPARATION, payload
 
-        merged = {}
-        if os.path.exists(BENCH_PATH):
-            with open(BENCH_PATH) as handle:
-                merged = json.load(handle)
-        merged["streamscale"] = payload
-        with open(BENCH_PATH, "w") as handle:
-            json.dump(merged, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        merge_sections({"streamscale": payload})

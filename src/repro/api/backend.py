@@ -123,9 +123,9 @@ def record_from_instance(instance: KernelInstance,
                          obs=None) -> RunRecord:
     """Run an already-built instance on a bare core, as a RunRecord.
 
-    This is the single measurement path shared by :class:`CoreBackend`
-    and the legacy ``repro.eval.measure_instance`` shim.  See
-    :meth:`Backend.run` for the ``obs`` knob.
+    This is the measurement path behind :class:`CoreBackend`; call it
+    directly for an instance built by hand (a custom size, block or
+    memory image).  See :meth:`Backend.run` for the ``obs`` knob.
     """
     result, _ = instance.run(config=config, check=check,
                              obs=_obs_sink(obs))

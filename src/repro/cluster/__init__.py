@@ -5,10 +5,9 @@ compute cluster:
 
 * :class:`BankedTcdm` — word-interleaved bank arbitration (conflict
   stalls) layered over the flat functional memory.
-* :class:`ClusterDma` — shared L2<->TCDM tile engine: the cluster
-  configuration of the unified :class:`~repro.mem.TransferEngine`;
-  drives double-buffered input staging and (in write-back mode)
-  output drains.
+* one shared :class:`~repro.mem.TransferEngine` per cluster — the
+  L2<->TCDM tile DMA; drives double-buffered input staging and (in
+  write-back mode) output drains.
 * :class:`ClusterMachine` — event-driven N-core driver with hardware
   barriers (``cluster.barrier``) and cluster atomics (``amoadd.w``).
 * :func:`partition_kernel` — static chunking of the six registered
@@ -17,7 +16,6 @@ compute cluster:
 """
 
 from .config import ClusterConfig
-from .dma import ClusterDma, DmaTransfer
 from .machine import ClusterMachine, ClusterRunResult
 from .partition import (
     ClusterWorkload,
@@ -27,17 +25,14 @@ from .partition import (
     partition_kernel,
     stage_inputs_via_dma,
 )
-from .tcdm import BankedTcdm, BankStats
+from .tcdm import BankedTcdm
 
 __all__ = [
-    "BankStats",
     "BankedTcdm",
     "ClusterConfig",
-    "ClusterDma",
     "ClusterMachine",
     "ClusterRunResult",
     "ClusterWorkload",
-    "DmaTransfer",
     "choose_block",
     "drain_outputs_via_dma",
     "output_region",

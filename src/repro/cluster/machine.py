@@ -6,7 +6,7 @@ cores with the shared-resource timing models of this package:
 * every core's loads/stores/SSR streams arbitrate through one
   :class:`~repro.cluster.tcdm.BankedTcdm` (bank-conflict stalls),
 * ``dma.start``/``dma.wait`` program one shared
-  :class:`~repro.cluster.dma.ClusterDma` engine,
+  :class:`~repro.mem.TransferEngine` (the cluster DMA),
 * ``cluster.barrier`` parks a core until every active core arrives.
 
 Execution is event-driven: the driver repeatedly steps the core whose
@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa.program import Program
+from ..mem import TransferEngine
 from ..sim.config import CoreConfig
 from ..sim.counters import Counters, RegionMeasurement, RunResult
 from ..sim.machine import Machine, SimulationError
 from ..sim.memory import Memory
 from .config import ClusterConfig
-from .dma import ClusterDma
 from .tcdm import BankedTcdm
 
 
@@ -98,7 +98,7 @@ class ClusterMachine:
 
     def __init__(self, config: ClusterConfig | None = None,
                  core_config: CoreConfig | None = None,
-                 dma: ClusterDma | None = None) -> None:
+                 dma: TransferEngine | None = None) -> None:
         self.config = config or ClusterConfig()
         self.core_config = core_config or CoreConfig()
         self.tcdm = BankedTcdm(
@@ -108,7 +108,7 @@ class ClusterMachine:
         )
         # An enclosing SoC passes its own per-cluster DMA channel (same
         # engine model, beats arbitrated by the shared interconnect).
-        self.dma = dma if dma is not None else ClusterDma(
+        self.dma = dma if dma is not None else TransferEngine(
             bandwidth=self.config.dma_bandwidth,
             setup_latency=self.config.dma_setup_latency,
             tcdm_size=self.config.tcdm_size,
@@ -131,7 +131,6 @@ class ClusterMachine:
         #: Scope this cluster emits under (``soc/cluster{c}`` inside a
         #: SoC, ``cluster0`` standalone).
         self.obs_scope = "cluster0"
-        self._tracing = False
 
     # ------------------------------------------------------------------
     def add_core(self, program: Program, memory: Memory) -> Machine:
@@ -157,8 +156,6 @@ class ClusterMachine:
         if self.obs is not None:
             machine.attach_obs(
                 self.obs, f"{self.obs_scope}/core{machine.core_id}")
-        if self._tracing:
-            machine.enable_trace()
         self.cores.append(machine)
         self._programs.append(program)
         return machine
@@ -179,16 +176,6 @@ class ClusterMachine:
         for machine in self.cores:
             machine.attach_obs(sink, f"{scope}/core{machine.core_id}")
 
-    def enable_trace(self) -> list[list]:
-        """Record issue events on every core (present and future).
-
-        Returns the per-core event lists, in core order — the list for
-        a core added after this call appears as cores are added (read
-        ``cores[k].trace`` for the live view).
-        """
-        self._tracing = True
-        return [machine.enable_trace() for machine in self.cores]
-
     # ------------------------------------------------------------------
     def _release_barrier(self, waiting: list[Machine],
                          finished: list[Machine]) -> None:
@@ -199,20 +186,21 @@ class ClusterMachine:
                 f"that cores {[m.core_id for m in finished]} exited "
                 f"the program without reaching"
             )
-        release = max(m.barrier_arrival for m in waiting) \
+        scheds = [m.sched for m in waiting]
+        release = max(s.barrier_arrival for s in scheds) \
             + self.config.barrier_latency
         obs = self.obs
         if obs is not None:
-            first = min(m.barrier_arrival for m in waiting)
+            first = min(s.barrier_arrival for s in scheds)
             obs.emit(self.obs_scope, "barrier", "barrier", first,
                      release - first, "barrier",
                      {"cores": len(waiting),
                       "episode": self.barrier_count})
-        for m in waiting:
-            m.counters.stall_barrier += release - m.barrier_arrival
-            m.int_time = release
-            m.fp_time = max(m.fp_time, release)
-            m.barrier_wait = False
+        for s in scheds:
+            s.counters.stall_barrier += release - s.barrier_arrival
+            s.int_time = release
+            s.fp_time = max(s.fp_time, release)
+            s.barrier_wait = False
         self.barrier_count += 1
 
     def bind(self, max_steps: int = 200_000_000) -> None:
@@ -247,10 +235,7 @@ class ClusterMachine:
         """Advance the cluster by one dynamic instruction (or one
         barrier release) on the laggard core.
 
-        Returns False once every core has finished.  The driver talks
-        to the cores' schedulers directly rather than through the
-        Machine facade's delegating properties (this loop runs once per
-        dynamic instruction).
+        Returns False once every core has finished.
         """
         active = self._active
         if not active:
@@ -278,7 +263,7 @@ class ClusterMachine:
             counters=_sum_counters([r.counters for r in results]),
             tcdm_accesses=self.tcdm.total_accesses,
             tcdm_conflict_cycles=self.tcdm.total_conflict_cycles,
-            tcdm_bank_conflicts=[s.conflict_cycles
+            tcdm_bank_conflicts=[s.stall_cycles
                                  for s in self.tcdm.stats],
             dma_bytes=self.dma.bytes_moved,
             dma_bytes_read=self.dma.bytes_read,

@@ -32,16 +32,10 @@ from ..sim.config import CoreConfig
 from .config import ClusterConfig
 from .machine import ClusterMachine, ClusterRunResult
 
-#: Simulated L2 window inside each core's memory image (the flat image
-#: doubles as the global address space: TCDM low, L2 high).  Owned by
-#: the unified traffic engine (:mod:`repro.mem`); re-exported here
-#: under its historical name.
-L2_BASE = L2_WINDOW_BASE
-
 #: Drain window inside the per-core L2 address space: output write-back
 #: lands here, above the staged-input window, so one core image can
 #: hold both without overlap.
-L2_DRAIN_BASE = L2_BASE + (1 << 18)
+L2_DRAIN_BASE = L2_WINDOW_BASE + (1 << 18)
 
 #: Per-core seed spacing for chunked PRNG/vector-input generation.
 _SEED_STRIDE = 9973
@@ -88,7 +82,7 @@ def choose_block(chunk: int, requested: int) -> int:
 
 
 def stage_inputs_via_dma(instance: KernelInstance,
-                         l2_base: int = L2_BASE,
+                         l2_base: int = L2_WINDOW_BASE,
                          tile_elems: int = 64) -> KernelInstance:
     """Rebuild *instance* with its input array DMA-staged from L2.
 
@@ -126,20 +120,15 @@ def stage_inputs_via_dma(instance: KernelInstance,
 def output_region(instance: KernelInstance) -> tuple[int, int] | None:
     """``(addr, nbytes)`` of the kernel's vector output, if it has one.
 
-    Kernels register their output region explicitly through the
-    ``out_region`` note; older builds are resolved from the historical
-    ``y_addr``/``out_addr`` notes (one FP64 element per problem
-    element).  Monte Carlo kernels reduce to scalars and have nothing
-    to drain — they return ``None``.
+    Kernels register their output region through the ``out_region``
+    note.  Monte Carlo kernels reduce to scalars and have nothing to
+    drain — they return ``None``.
     """
     region = instance.notes.get("out_region")
-    if region is not None:
-        addr, nbytes = region
-        return (addr, nbytes)
-    for key in ("y_addr", "out_addr"):
-        if key in instance.notes:
-            return (instance.notes[key], 8 * instance.n)
-    return None
+    if region is None:
+        return None
+    addr, nbytes = region
+    return (addr, nbytes)
 
 
 def drain_outputs_via_dma(instance: KernelInstance,
@@ -162,7 +151,7 @@ def drain_outputs_via_dma(instance: KernelInstance,
     if region is None:
         raise ValueError(
             f"kernel {instance.name} has no drainable outputs "
-            f"(no out_region/y_addr/out_addr note)"
+            f"(no out_region note)"
         )
     out_addr, nbytes = region
     tile = 8 * tile_elems

@@ -23,20 +23,7 @@ Arbitration granularity follows the core model's structure:
 
 from __future__ import annotations
 
-from ..mem import StreamStats, stat_alias
-
-
-class BankStats(StreamStats):
-    """Per-bank activity — the TCDM's view of the shared
-    :class:`~repro.mem.StreamStats` shape.
-
-    ``accesses`` and ``conflict_cycles`` are the historical names for
-    ``grants`` and ``stall_cycles``; they alias the same storage, so
-    the two spellings can never diverge.
-    """
-
-    accesses = stat_alias("grants")
-    conflict_cycles = stat_alias("stall_cycles")
+from ..mem import StreamStats
 
 
 class BankedTcdm:
@@ -47,7 +34,9 @@ class BankedTcdm:
         self.n_banks = n_banks
         self.bank_stagger_words = bank_stagger_words
         self.enabled = enabled
-        self.stats = [BankStats() for _ in range(n_banks)]
+        #: Per-bank accesses granted (``grants``) and conflict cycles
+        #: (``stall_cycles``).
+        self.stats = [StreamStats() for _ in range(n_banks)]
         #: claims[bank][cycle] -> core_id granted that bank-cycle.
         self._claims: list[dict[int, int]] = [
             {} for _ in range(n_banks)
@@ -144,11 +133,11 @@ class BankedTcdm:
     # ------------------------------------------------------------------
     @property
     def total_accesses(self) -> int:
-        return sum(s.accesses for s in self.stats)
+        return sum(s.grants for s in self.stats)
 
     @property
     def total_conflict_cycles(self) -> int:
-        return sum(s.conflict_cycles for s in self.stats)
+        return sum(s.stall_cycles for s in self.stats)
 
     def conflict_rate(self) -> float:
         """Conflict cycles per access (0.0 when idle)."""

@@ -3,9 +3,10 @@ scaling artifacts (``clusterscale``, ``socscale``).
 
 Artifacts are built on the unified experiment API (:mod:`repro.api`):
 each module registers itself with ``@artifact(...)`` and runs its
-measurements through ``Workload``/``Backend``/``Sweep``.  The legacy
-``measure_instance``/``measure_kernel`` helpers remain as thin shims
-over :class:`repro.api.RunRecord`.
+measurements through ``Workload``/``Backend``/``Sweep``.  Figure 2's
+paired-variant view (:class:`KernelMeasurement` over two
+:class:`repro.api.RunRecord` objects) and :func:`geomean` live in
+:mod:`repro.eval.fig2`.
 """
 
 from .parallel import default_jobs, run_sharded
@@ -23,20 +24,12 @@ from . import (  # noqa: F401
     streamscale,
     table1,
 )
-from .runner import (
-    KernelMeasurement,
-    VariantMeasurement,
-    geomean,
-    measure_instance,
-    measure_kernel,
-)
+from .fig2 import KernelMeasurement, VariantMeasurement, geomean
 
 __all__ = [
     "KernelMeasurement",
     "VariantMeasurement",
     "default_jobs",
     "geomean",
-    "measure_instance",
-    "measure_kernel",
     "run_sharded",
 ]

@@ -16,15 +16,104 @@ from ..api import (
     ArtifactRequest,
     ArtifactResult,
     CoreBackend,
+    RunRecord,
     Sweep,
     Workload,
     artifact,
 )
-from ..energy import EnergyModel
+from ..energy import EnergyModel, PowerReport
 from ..kernels.registry import KERNELS
 from ..sim import CoreConfig
 from . import table1
-from .runner import KernelMeasurement, geomean
+
+
+@dataclass(frozen=True)
+class VariantMeasurement:
+    """One variant's steady-state numbers (view over a RunRecord)."""
+
+    variant: str
+    cycles: int
+    int_instructions: int
+    fp_instructions: int
+    ipc: float
+    power: PowerReport
+
+    @property
+    def power_mw(self) -> float:
+        return self.power.power_mw
+
+    @property
+    def energy_pj(self) -> float:
+        return self.power.total_energy_pj
+
+    @classmethod
+    def from_record(cls, record: RunRecord) -> "VariantMeasurement":
+        return cls(
+            variant=record.variant,
+            cycles=record.cycles,
+            int_instructions=record.int_instructions,
+            fp_instructions=record.fp_instructions,
+            ipc=record.ipc,
+            power=record.power,
+        )
+
+
+@dataclass(frozen=True)
+class KernelMeasurement:
+    """Paired baseline/COPIFT measurement of one kernel."""
+
+    name: str
+    n: int
+    block: int
+    baseline: VariantMeasurement
+    copift: VariantMeasurement
+
+    @property
+    def speedup(self) -> float:
+        return self.baseline.cycles / self.copift.cycles
+
+    @property
+    def ipc_gain(self) -> float:
+        return self.copift.ipc / self.baseline.ipc
+
+    @property
+    def power_increase(self) -> float:
+        return self.copift.power_mw / self.baseline.power_mw
+
+    @property
+    def energy_improvement(self) -> float:
+        return self.baseline.energy_pj / self.copift.energy_pj
+
+    @classmethod
+    def from_records(cls, baseline: RunRecord,
+                     copift: RunRecord) -> "KernelMeasurement":
+        if baseline.kernel != copift.kernel:
+            raise ValueError(
+                f"mismatched record pair: baseline is "
+                f"{baseline.kernel!r}, copift is {copift.kernel!r}"
+            )
+        if (baseline.variant, copift.variant) != ("baseline",
+                                                  "copift"):
+            raise ValueError(
+                f"record pair passed out of order: got "
+                f"({baseline.variant!r}, {copift.variant!r}), "
+                f"expected ('baseline', 'copift')"
+            )
+        return cls(
+            name=baseline.kernel, n=baseline.n,
+            block=copift.block or 0,
+            baseline=VariantMeasurement.from_record(baseline),
+            copift=VariantMeasurement.from_record(copift),
+        )
+
+
+def geomean(values: list[float]) -> float:
+    if not values:
+        raise ValueError("geomean of empty sequence")
+    product = 1.0
+    for value in values:
+        product *= value
+    return product ** (1.0 / len(values))
 
 
 @dataclass(frozen=True)

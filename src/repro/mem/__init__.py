@@ -2,16 +2,16 @@
 
 One transfer model for every level of the hierarchy:
 
-* :class:`TransferEngine` — the bandwidth/latency/beat engine both
-  :class:`~repro.cluster.dma.ClusterDma` and
-  :class:`~repro.soc.machine.SocDmaChannel` are thin configurations
-  of (beat arbitration and endpoint accounting are pluggable hooks).
+* :class:`TransferEngine` — the bandwidth/latency/beat engine: a
+  standalone cluster's DMA as is, and the SoC's
+  :class:`~repro.soc.machine.SocDmaChannel` as a thin configuration
+  (beat arbitration and endpoint accounting are pluggable hooks).
 * :class:`Direction` / :class:`Transfer` — per-stream READ (input
   staging) vs WRITE (output write-back) classification and the queued
   transfer record.
-* :class:`StreamStats` (alias :data:`XferStats`) — the shared
-  grants/transfers/stalls shape behind the cluster's ``BankStats``
-  and the SoC's ``LinkStats``.
+* :class:`StreamStats` — the one grants/transfers/stalls shape every
+  arbiter keeps per stream: TCDM banks, SoC links, QoS classes and
+  the engine's directions.
 """
 
 from .engine import (
@@ -21,7 +21,7 @@ from .engine import (
     Transfer,
     TransferEngine,
 )
-from .stats import StreamStats, XferStats, stat_alias
+from .stats import StreamStats
 
 __all__ = [
     "DMA_REQUESTOR",
@@ -30,6 +30,4 @@ __all__ = [
     "StreamStats",
     "Transfer",
     "TransferEngine",
-    "XferStats",
-    "stat_alias",
 ]

@@ -5,9 +5,9 @@ SoC-level link traffic, output write-back — runs through one
 :class:`TransferEngine`: a bandwidth/latency/beat model with program-
 order service (single physical engine, one outstanding burst at a time;
 queueing a transfer while another is in flight is precisely what
-double-buffering exploits).  The cluster's ``ClusterDma`` and the SoC's
-``SocDmaChannel`` are thin *configurations* of this engine — they add
-defaults and wiring, never timing logic.
+double-buffering exploits).  A standalone cluster runs a bare engine;
+the SoC's ``SocDmaChannel`` is a thin *configuration* of it that adds
+wiring, never timing logic.
 
 The engine is parameterized by three hooks:
 
@@ -47,9 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.tcdm import BankedTcdm
 
 #: Simulated L2 window inside each core's memory image (the flat image
-#: doubles as the global address space: TCDM low, L2 high).  Owned by
-#: the traffic engine; ``repro.cluster.partition.L2_BASE`` re-exports
-#: it for compatibility.
+#: doubles as the global address space: TCDM low, L2 high).
 L2_WINDOW_BASE = 1 << 19
 
 #: Bank-arbiter requestor id for DMA beats.  Distinct from every core

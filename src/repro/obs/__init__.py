@@ -20,9 +20,9 @@ One instrumentation layer spans the whole machine hierarchy:
   schema v4).
 * :class:`MetricsRegistry` names the derived measurements every
   artifact shares.
-* :class:`TraceEvent` / :func:`render_timeline` are the per-core
-  issue timeline formerly in ``repro.sim.trace`` (now a deprecated
-  shim over this package).
+* :func:`render_timeline` / :func:`dual_issue_cycles` /
+  :func:`lane_utilization` read one core scope's ``int``/``fp`` issue
+  events out of a sink: the paper's two issue lanes side by side.
 
 Everything here is import-cycle-free by design: no module under
 ``repro.obs`` imports from the rest of the repo.
@@ -43,7 +43,6 @@ from .profile import (
     render_profile,
 )
 from .timeline import (
-    TraceEvent,
     dual_issue_cycles,
     lane_utilization,
     render_timeline,
@@ -59,7 +58,6 @@ __all__ = [
     "ObsEvent",
     "ObsSink",
     "ProfileNode",
-    "TraceEvent",
     "aggregate_profile",
     "chrome_trace",
     "core_profile",

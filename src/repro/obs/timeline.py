@@ -1,46 +1,39 @@
-"""Per-core issue tracing and dual-issue timeline rendering.
+"""Dual-issue timeline views over an :class:`~repro.obs.events.ObsSink`.
 
-This is the successor of ``repro.sim.trace`` (which now re-exports
-from here with a deprecation warning).  Enable with
-:meth:`Machine.enable_trace` — or, for whole hierarchies,
-:meth:`ClusterMachine.enable_trace` / :meth:`SocMachine.enable_trace`
-— before running; every issue event (integer core, FP dispatch, FPSS
-issue, sequencer replay) is recorded with its cycle.
-:func:`render_timeline` draws the two issue engines as parallel
-lanes — the overlap the whole paper is about becomes directly
+Every core emits one event per issue slot into its sink scope: the
+integer core's issues and FP dispatches on the ``int`` lane, the FPSS
+issues (sequencer replays flagged with ``args["seq"]``) on the ``fp``
+lane.  :func:`render_timeline` draws one scope's two issue engines as
+parallel lanes — the overlap the whole paper is about becomes directly
 visible:
 
-    cycle     INT lane            FP lane
-      112     addi                fmadd.d   <- sequencer
-      113     lw                  fmul.d    <- sequencer
-      ...
+      cycle  integer core       FPSS
+    ---------------------------------------------
+        903  lw                 fmadd.d  <seq
+        904  lw                 fmul.d  <seq
+        905                     fmadd.d  <seq
 
-Tracing costs one branch per instruction when disabled and is off by
-default.
+Attach a sink with ``Machine.attach_obs`` (scope ``core``) or, for
+whole hierarchies, ``ClusterMachine.attach_obs`` /
+``SocMachine.attach_obs`` (scopes ``cluster0/core{k}``,
+``soc/cluster{c}/core{k}``) before running.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .events import ObsEvent, ObsSink
+
+#: Event categories that occupy an issue slot.  ``dma.start`` and
+#: ``dma.wait`` share the ``int`` lane under ``cat="dma"``; they are
+#: transfer marks, not issue events, and stay out of these views.
+_ISSUE_CATS = ("issue", "dispatch")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One issue event.
-
-    Attributes:
-        engine: ``int`` (integer core), ``fp`` (FPSS issue).
-        cycle: Issue cycle on that engine's timeline.
-        mnemonic: Instruction mnemonic.
-        pc: Static instruction index (None for sequencer replays).
-        sequencer: True when the FPSS issue came from the FREP buffer.
-    """
-
-    engine: str
-    cycle: int
-    mnemonic: str
-    pc: int | None = None
-    sequencer: bool = False
+def _issue_events(sink: ObsSink, scope: str) -> list[ObsEvent]:
+    """*scope*'s ``int``/``fp`` issue events, in emission order."""
+    return [e for e in sink.events
+            if e.scope == scope and e.cat in _ISSUE_CATS
+            and e.lane in ("int", "fp")]
 
 
 def _fit(cell: str, width: int) -> str:
@@ -50,32 +43,34 @@ def _fit(cell: str, width: int) -> str:
     return f"{cell:<{width}}"
 
 
-def render_timeline(events: list[TraceEvent], start: int = 0,
+def render_timeline(sink: ObsSink, scope: str, start: int = 0,
                     end: int | None = None, width: int = 18,
                     show_pc: bool = False) -> str:
-    """Render both issue lanes side by side for cycles [start, end).
+    """Render *scope*'s two issue lanes side by side for [start, end).
 
     Cycles where neither engine issues are elided with a ``...`` row —
     including a trailing one when the window ends inside a gap.  With
-    ``show_pc=True`` each mnemonic carries its static instruction
-    index as ``#pc`` (sequencer replays have none).  Cells longer than
-    *width* are marked with a ``~`` instead of silently truncated.
+    ``show_pc=True`` each integer-lane mnemonic carries its static
+    instruction index as ``#pc`` (FPSS issues have none).  Cells longer
+    than *width* are marked with a ``~`` instead of silently truncated.
     """
+    events = _issue_events(sink, scope)
     if end is None:
-        end = max((e.cycle for e in events), default=0) + 1
+        end = max((e.ts for e in events), default=0) + 1
     int_lane: dict[int, str] = {}
     fp_lane: dict[int, str] = {}
     for event in events:
-        if not start <= event.cycle < end:
+        if not start <= event.ts < end:
             continue
-        cell = event.mnemonic
-        if show_pc and event.pc is not None and event.pc >= 0:
-            cell += f" #{event.pc}"
-        if event.engine == "int":
-            int_lane[event.cycle] = cell
+        cell = event.name
+        args = event.args or {}
+        if event.lane == "int":
+            if show_pc and "pc" in args:
+                cell += f" #{args['pc']}"
+            int_lane[event.ts] = cell
         else:
-            suffix = "  <seq" if event.sequencer else ""
-            fp_lane[event.cycle] = cell + suffix
+            suffix = "  <seq" if args.get("seq") else ""
+            fp_lane[event.ts] = cell + suffix
     lines = [f"{'cycle':>7}  {'integer core':<{width}} {'FPSS':<{width}}"]
     lines.append("-" * (9 + 2 * width))
     gap = False
@@ -95,18 +90,19 @@ def render_timeline(events: list[TraceEvent], start: int = 0,
     return "\n".join(lines)
 
 
-def dual_issue_cycles(events: list[TraceEvent]) -> int:
-    """Number of cycles where both engines issued an instruction."""
-    int_cycles = {e.cycle for e in events if e.engine == "int"}
-    fp_cycles = {e.cycle for e in events if e.engine == "fp"}
+def dual_issue_cycles(sink: ObsSink, scope: str) -> int:
+    """Number of cycles where both of *scope*'s engines issued."""
+    events = _issue_events(sink, scope)
+    int_cycles = {e.ts for e in events if e.lane == "int"}
+    fp_cycles = {e.ts for e in events if e.lane == "fp"}
     return len(int_cycles & fp_cycles)
 
 
-def lane_utilization(events: list[TraceEvent],
+def lane_utilization(sink: ObsSink, scope: str,
                      cycles: int) -> tuple[float, float]:
-    """(integer, FP) issue-slot utilization over *cycles*."""
+    """(integer, FP) issue-slot utilization of *scope* over *cycles*."""
     if cycles == 0:
         return (0.0, 0.0)
-    int_count = sum(1 for e in events if e.engine == "int")
-    fp_count = sum(1 for e in events if e.engine == "fp")
-    return (int_count / cycles, fp_count / cycles)
+    events = _issue_events(sink, scope)
+    int_count = sum(1 for e in events if e.lane == "int")
+    return (int_count / cycles, (len(events) - int_count) / cycles)

@@ -259,7 +259,7 @@ def _h_amoadd_w(m, instr):
     old = m.memory.read_u32(addr)
     m.memory.write_u32(addr, u32(old + m.iregs[instr.operands[3].index]))
     m.write_ireg(instr.operands[0], old)
-    m.counters.amo_ops += 1
+    m.sched.counters.amo_ops += 1
     return None
 
 
@@ -268,7 +268,7 @@ def _h_dma_copy(m, instr):
     src = m.iregs[instr.operands[1].index]
     length = m.iregs[instr.operands[2].index]
     m.memory.copy_within(dst, src, length)
-    m.counters.dma_bytes_moved += length
+    m.sched.counters.dma_bytes_moved += length
     return None
 
 
@@ -427,7 +427,7 @@ def _bind_amoadd_w(instr):
         memory.write_u32(addr, (old + iregs[src]) & _MASK32)
         if d:
             iregs[d] = old
-        m.counters.amo_ops += 1
+        m.sched.counters.amo_ops += 1
         return None
     return run
 
@@ -441,7 +441,7 @@ def _bind_dma_copy(instr):
         iregs = m.iregs
         nbytes = iregs[length]
         m.memory.copy_within(iregs[dst], iregs[src], nbytes)
-        m.counters.dma_bytes_moved += nbytes
+        m.sched.counters.dma_bytes_moved += nbytes
         return None
     return run
 

@@ -51,7 +51,6 @@ from .decode import (
 )
 from .errors import SimulationError
 from .icache import L0Cache
-from ..obs.timeline import TraceEvent
 
 _MASK32 = 0xFFFFFFFF
 _HALT_PC = 1 << 60
@@ -75,7 +74,7 @@ class Scheduler:
         "_ssr_fill_latency", "_fp_response_latency",
         # machine snapshot
         "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_tcdm",
-        "_core_id", "_read_index", "_trace", "_obs", "_obs_scope",
+        "_core_id", "_read_index", "_obs", "_obs_scope",
     )
 
     def __init__(self, machine) -> None:
@@ -132,7 +131,6 @@ class Scheduler:
         self._tcdm = m.tcdm
         self._core_id = m.core_id
         self._read_index = m._read_index
-        self._trace = m.trace
         self._obs = m.obs
         self._obs_scope = m.obs_scope
 
@@ -484,9 +482,6 @@ class Scheduler:
 
         self.int_time = start + 1
         cd["int_issued"] += 1
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceEvent("int", start, op.mnemonic, pc))
         obs = self._obs
         if obs is not None:
             obs.emit(self._obs_scope, "int", op.mnemonic, start, 1,
@@ -562,9 +557,6 @@ class Scheduler:
 
         self.int_time = disp + 1
         cd["fp_dispatched"] += 1
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceEvent("int", disp, op.mnemonic, pc))
         obs = self._obs
         if obs is not None:
             obs.emit(self._obs_scope, "int", op.mnemonic, disp, 1,
@@ -725,11 +717,6 @@ class Scheduler:
 
         self.fp_time = start + 1
         cd["fp_issued"] += 1
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceEvent("fp", start, op.mnemonic,
-                                    None if sequencer else -1,
-                                    sequencer))
         obs = self._obs
         if obs is not None:
             obs.emit(self._obs_scope, "fp", op.mnemonic, start, 1,

@@ -24,14 +24,13 @@ cycle-identical to the equivalent bare ``ClusterMachine``.
 """
 
 from .config import SocConfig
-from .interconnect import LinkStats, SocInterconnect
+from .interconnect import SocInterconnect
 from .l2 import L2Memory
 from .machine import SocDmaChannel, SocMachine, SocRunResult
 from .partition import SocWorkload, partition_soc_kernel, soc_config_for
 
 __all__ = [
     "L2Memory",
-    "LinkStats",
     "SocConfig",
     "SocDmaChannel",
     "SocInterconnect",

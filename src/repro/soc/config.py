@@ -28,7 +28,7 @@ class SocConfig:
         max_beats_per_cluster: Beats a single cluster may claim in any
             one cycle — the round-robin fairness cap.  The default of 1
             gives every cluster the same uncontended beat rate as the
-            standalone :class:`~repro.cluster.dma.ClusterDma` engine,
+            standalone cluster's :class:`~repro.mem.TransferEngine`,
             which is what keeps a 1-cluster SoC cycle-identical to a
             bare :class:`~repro.cluster.machine.ClusterMachine`.
         l2_size: Shared L2 capacity in bytes; staged workloads must fit.

@@ -18,18 +18,7 @@ added versus each cluster's own uncontended schedule.
 
 from __future__ import annotations
 
-from ..mem import StreamStats, stat_alias
-
-
-class LinkStats(StreamStats):
-    """Per-cluster link activity — the interconnect's view of the
-    shared :class:`~repro.mem.StreamStats` shape.
-
-    ``beats`` is the historical name for ``grants``; it aliases the
-    same storage, so the two spellings can never diverge.
-    """
-
-    beats = stat_alias("grants")
+from ..mem import StreamStats
 
 
 class SocInterconnect:
@@ -43,7 +32,9 @@ class SocInterconnect:
         self.link_beats_per_cycle = link_beats_per_cycle
         self.max_beats_per_cluster = max_beats_per_cluster
         self.enabled = enabled
-        self.stats = [LinkStats() for _ in range(n_clusters)]
+        #: Per-cluster link beats granted (``grants``) and contention
+        #: stall cycles (``stall_cycles``).
+        self.stats = [StreamStats() for _ in range(n_clusters)]
         #: claims[cycle] -> total beats granted that cycle.
         self._claims: dict[int, int] = {}
         #: per-cluster claims[cycle] -> beats granted to that cluster.
@@ -76,7 +67,7 @@ class SocInterconnect:
         if nbeats <= 0:
             return start
         if not self.enabled:
-            stats.beats += nbeats
+            stats.grants += nbeats
             done = self._ideal_done(nbeats, start)
             obs = self.obs
             if obs is not None:
@@ -96,7 +87,7 @@ class SocInterconnect:
             claims[t] = claims.get(t, 0) + 1
             mine[t] = mine.get(t, 0) + 1
             self._claim_count += 1
-        stats.beats += nbeats
+        stats.grants += nbeats
         stall = t - self._ideal_done(nbeats, start)
         stats.stall_cycles += stall
         obs = self.obs
@@ -120,7 +111,7 @@ class SocInterconnect:
     # ------------------------------------------------------------------
     @property
     def total_beats(self) -> int:
-        return sum(s.beats for s in self.stats)
+        return sum(s.grants for s in self.stats)
 
     @property
     def total_stall_cycles(self) -> int:

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..cluster.machine import ClusterMachine, ClusterRunResult
-from ..cluster.partition import L2_BASE
-from ..mem import Transfer, TransferEngine
+from ..mem import L2_WINDOW_BASE, Transfer, TransferEngine
 from ..sim.config import CoreConfig
 from ..sim.counters import Counters, RegionMeasurement
 from .config import SocConfig
@@ -51,8 +50,8 @@ class SocDmaChannel(TransferEngine):
     """One cluster's DMA engine with its beats arbitrated SoC-wide.
 
     The SoC *configuration* of the unified
-    :class:`~repro.mem.TransferEngine` — the same engine model as
-    :class:`~repro.cluster.dma.ClusterDma` (program-order transfers,
+    :class:`~repro.mem.TransferEngine` — the same engine model a
+    standalone cluster runs bare (program-order transfers,
     per-transfer setup latency, ``bandwidth`` bytes per beat), wired
     to the SoC's shared resources through the engine's hooks instead
     of overriding any timing logic:
@@ -70,7 +69,7 @@ class SocDmaChannel(TransferEngine):
     def __init__(self, cluster_id: int, interconnect: SocInterconnect,
                  l2: L2Memory | None = None,
                  l2_latency: int = 0,
-                 l2_window_base: int = L2_BASE,
+                 l2_window_base: int = L2_WINDOW_BASE,
                  **kwargs) -> None:
         # l2_latency / l2_window_base live on as the engine's
         # extra_latency / window_base — single storage, so endpoint
@@ -191,7 +190,6 @@ class SocMachine:
         self.obs = None
         #: Scope this SoC emits under (root of the hierarchy).
         self.obs_scope = "soc"
-        self._tracing = False
 
     # ------------------------------------------------------------------
     def attach_obs(self, sink, scope: str = "soc") -> None:
@@ -205,12 +203,6 @@ class SocMachine:
         for cluster in self.clusters:
             cluster.attach_obs(
                 sink, f"{scope}/cluster{cluster.cluster_id}")
-
-    def enable_trace(self) -> list[list[list]]:
-        """Record issue events on every core of every cluster (present
-        and future); returns the per-cluster, per-core event lists."""
-        self._tracing = True
-        return [cluster.enable_trace() for cluster in self.clusters]
 
     # ------------------------------------------------------------------
     def add_cluster(self, cluster_config: "ClusterConfig | None" = None
@@ -244,8 +236,6 @@ class SocMachine:
         if self.obs is not None:
             cluster.attach_obs(self.obs,
                                f"{self.obs_scope}/cluster{cluster_id}")
-        if self._tracing:
-            cluster.enable_trace()
         self.clusters.append(cluster)
         return cluster
 
@@ -272,7 +262,7 @@ class SocMachine:
             cycles=max(r.cycles for r in results),
             cluster_results=results,
             counters=_sum_counters([r.counters for r in results]),
-            link_beats=[s.beats for s in stats],
+            link_beats=[s.grants for s in stats],
             link_stall_cycles=[s.stall_cycles for s in stats],
             l2_bytes_read=self.l2.bytes_read,
             l2_bytes_written=self.l2.bytes_written,

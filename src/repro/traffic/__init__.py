@@ -39,7 +39,7 @@ from .arrival import (
 )
 from .dispatch import POLICIES, CompletedRequest, Dispatcher
 from .model import RequestProfile, build_profile, replay_engine
-from .qos import QosArbiter, QosClassStats
+from .qos import QosArbiter
 from .scenario import (
     POLICY_CHOICES,
     ClassResult,
@@ -62,7 +62,6 @@ __all__ = [
     "Lcg64",
     "PriorityClass",
     "QosArbiter",
-    "QosClassStats",
     "Request",
     "RequestProfile",
     "TrafficError",

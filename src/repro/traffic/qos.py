@@ -32,20 +32,10 @@ search.
 
 from __future__ import annotations
 
-from ..mem import StreamStats, stat_alias
+from ..mem import StreamStats
 from .arrival import TrafficError
 
-__all__ = ["QosArbiter", "QosClassStats"]
-
-
-class QosClassStats(StreamStats):
-    """Per-class arbitration tallies, in the shared stats shape.
-
-    ``beats`` aliases ``grants`` exactly like the interconnect's
-    :class:`~repro.soc.interconnect.LinkStats` does.
-    """
-
-    beats = stat_alias("grants")
+__all__ = ["QosArbiter"]
 
 
 class QosArbiter:
@@ -102,7 +92,9 @@ class QosArbiter:
         #: Beat slots class c owns per window.
         self.quota = (tuple(w * link_cap for w in weights)
                       if weights is not None else None)
-        self.stats = [QosClassStats() for _ in range(n_classes)]
+        #: Per-class beats granted (``grants``), transfers and stall
+        #: cycles.
+        self.stats = [StreamStats() for _ in range(n_classes)]
         #: claims[cycle] -> total beats granted that cycle.
         self._claims: dict[int, int] = {}
         #: per-class claims[window index] -> beats granted to that
@@ -172,7 +164,7 @@ class QosArbiter:
             claims[t] = claims.get(t, 0) + 1
             mine[t // window] = mine.get(t // window, 0) + 1
             self._claim_count += 1
-        stats.beats += nbeats
+        stats.grants += nbeats
         stats.stall_cycles += max(0, t - self._ideal_done(nbeats, start))
         if self._claim_count > (1 << 20):
             self._prune(t)
@@ -193,7 +185,7 @@ class QosArbiter:
     # ------------------------------------------------------------------
     @property
     def total_beats(self) -> int:
-        return sum(s.beats for s in self.stats)
+        return sum(s.grants for s in self.stats)
 
     @property
     def total_stall_cycles(self) -> int:

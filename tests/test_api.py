@@ -394,7 +394,7 @@ class TestSweep:
             sweep.run_indexed()
 
     def test_from_records_rejects_mismatched_pairs(self):
-        from repro.eval.runner import KernelMeasurement
+        from repro.eval.fig2 import KernelMeasurement
         backend = CoreBackend()
         expf = backend.run(Workload("expf", "baseline", n=512))
         logf_cop = backend.run(Workload("logf", "copift", n=512))

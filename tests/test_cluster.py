@@ -11,7 +11,6 @@ import pytest
 from repro.cluster import (
     BankedTcdm,
     ClusterConfig,
-    ClusterDma,
     ClusterMachine,
     ClusterWorkload,
     choose_block,
@@ -20,6 +19,7 @@ from repro.cluster import (
 from repro.isa.program import ProgramBuilder
 from repro.kernels.common import MAIN_REGION
 from repro.kernels.registry import kernel
+from repro.mem import TransferEngine
 from repro.sim import Machine, Memory, MemoryError_, SimulationError
 
 
@@ -53,8 +53,8 @@ class TestBankedTcdm:
         assert t.access(0, 0x0, 4, 10) == 10
         assert t.access(1, 0x0, 4, 10) == 11
         bank = t.bank_of(0, 0x0)
-        assert t.stats[bank].conflict_cycles == 1
-        assert t.stats[bank].accesses == 2
+        assert t.stats[bank].stall_cycles == 1
+        assert t.stats[bank].grants == 2
         assert t.total_conflict_cycles == 1
 
     def test_same_core_shares_its_port(self):
@@ -83,13 +83,13 @@ class TestBankedTcdm:
 
 class TestClusterDma:
     def test_bandwidth_and_latency(self):
-        dma = ClusterDma(bandwidth=8, setup_latency=16)
+        dma = TransferEngine(bandwidth=8, setup_latency=16)
         done = dma.start(0, 0x1000, 0x80000, 64, now=100)
         assert done == 100 + 16 + 8
         assert dma.bytes_moved == 64
 
     def test_transfers_serialize(self):
-        dma = ClusterDma(bandwidth=8, setup_latency=16)
+        dma = TransferEngine(bandwidth=8, setup_latency=16)
         first = dma.start(0, 0x1000, 0x80000, 64, now=0)
         second = dma.start(1, 0x2000, 0x81000, 64, now=0)
         assert second == first + 16 + 8
@@ -97,8 +97,8 @@ class TestClusterDma:
         assert dma.core_drain_time(1) == second
 
     def test_tcdm_overrun_rejected(self):
-        dma = ClusterDma(bandwidth=8, setup_latency=16,
-                         tcdm_size=0x1000)
+        dma = TransferEngine(bandwidth=8, setup_latency=16,
+                             tcdm_size=0x1000)
         with pytest.raises(MemoryError_, match="overruns"):
             dma.start(0, 0x0F00, 0x80000, 0x200, now=0)
         # Entirely inside TCDM or entirely in L2 is fine.
@@ -153,9 +153,9 @@ class TestBarrier:
         result = cluster.run()
         assert result.barrier_count == 1
         # Both cores end at the same release time.
-        assert m0.int_time == m1.int_time
-        assert m1.counters.stall_barrier > \
-            m0.counters.stall_barrier
+        assert m0.sched.int_time == m1.sched.int_time
+        assert m1.sched.counters.stall_barrier > \
+            m0.sched.counters.stall_barrier
 
     def test_standalone_machine_treats_barrier_as_nop(self):
         b = ProgramBuilder()
@@ -232,7 +232,8 @@ class TestTwoCoresOneBank:
             result.tcdm_bank_conflicts[bank]
         # ... and the stall cycles the cores observed equal the
         # arbiter's conflict tally exactly.
-        stalls = (m0.counters.stall_tcdm + m1.counters.stall_tcdm)
+        stalls = (m0.sched.counters.stall_tcdm
+                  + m1.sched.counters.stall_tcdm)
         assert stalls == result.tcdm_conflict_cycles
 
     def test_stagger_removes_lockstep_conflicts(self):

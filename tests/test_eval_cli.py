@@ -6,14 +6,12 @@ import json
 import pytest
 
 from repro.api import artifacts
+from repro.api.artifacts import write_output
 from repro.eval import clusterscale, fig3, socscale, table1
 from repro.eval.__main__ import main
-from repro.eval.io import (
-    clusterscale_payload,
-    socscale_payload,
-    table1_payload,
-    write_output,
-)
+from repro.eval.clusterscale import clusterscale_payload
+from repro.eval.socscale import socscale_payload
+from repro.eval.table1 import table1_payload
 from repro.eval.parallel import (
     default_jobs,
     run_sharded,
@@ -32,12 +30,12 @@ class TestClusterScaleArtifact:
         assert len(names) == 12
 
     def test_one_core_column_matches_single_machine(self, data):
-        from repro.eval import measure_kernel
-        from repro.kernels.registry import kernel
+        from repro.api import CoreBackend, Workload
 
         row = data.row("pi_lcg", "baseline")
-        m = measure_kernel(kernel("pi_lcg"), n=512)
-        assert row.point(1).cycles == m.baseline.cycles
+        record = CoreBackend().run(Workload("pi_lcg", "baseline", n=512),
+                                   check=True)
+        assert row.point(1).cycles == record.cycles
 
     def test_speedup_positive_and_bounded(self, data):
         for row in data.rows:

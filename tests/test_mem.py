@@ -1,9 +1,9 @@
 """Unified memory-traffic engine tests.
 
-Covers the shared :class:`~repro.mem.StreamStats` shape (and its
-compatibility aliases on ``BankStats``/``LinkStats``), the
-:class:`~repro.mem.TransferEngine` timing model both thin
-configurations reduce to, its zero-byte / misaligned edge-case
+Covers the shared :class:`~repro.mem.StreamStats` shape every arbiter
+fills, the :class:`~repro.mem.TransferEngine` timing model the cluster
+runs bare and the SoC channel configures, its zero-byte / misaligned
+edge-case
 errors, the write-back bank-claim path, and the shared
 :class:`~repro.soc.L2Memory` allocator's exhaustion behaviour.
 """
@@ -11,67 +11,47 @@ errors, the write-back bank-claim path, and the shared
 import numpy as np
 import pytest
 
-from repro.cluster import BankedTcdm, BankStats, ClusterDma
-from repro.cluster.dma import DmaTransfer
+from repro.cluster import BankedTcdm, ClusterMachine
 from repro.mem import (
     DMA_REQUESTOR,
     Direction,
     L2_WINDOW_BASE,
     StreamStats,
-    Transfer,
     TransferEngine,
-    XferStats,
 )
 from repro.sim.memory import MemoryError_
-from repro.soc import L2Memory, LinkStats, SocInterconnect
+from repro.soc import L2Memory, SocInterconnect
 from repro.soc.machine import SocDmaChannel
 
 L2 = L2_WINDOW_BASE
 
 
 class TestStreamStatsUnification:
-    """The BankStats/LinkStats mirroring collapses to one dataclass."""
-
-    def test_xferstats_is_streamstats(self):
-        assert XferStats is StreamStats
+    """Banks, links and QoS classes all count in one dataclass."""
 
     def test_bank_and_link_stats_share_the_shape(self):
-        assert issubclass(BankStats, StreamStats)
-        assert issubclass(LinkStats, StreamStats)
-        assert BankStats().field_names() == LinkStats().field_names() \
-            == ("grants", "transfers", "stall_cycles")
-
-    def test_bank_aliases_stay_in_sync(self):
-        stats = BankStats()
-        stats.accesses += 3
-        stats.conflict_cycles += 7
-        assert stats.grants == 3 and stats.stall_cycles == 7
-        stats.grants += 1
-        assert stats.accesses == 4
-
-    def test_link_alias_stays_in_sync(self):
-        stats = LinkStats()
-        stats.beats += 5
-        assert stats.grants == 5
-        stats.grants += 2
-        assert stats.beats == 7
+        tcdm = BankedTcdm(n_banks=4)
+        link = SocInterconnect(n_clusters=2)
+        for stats in tcdm.stats + link.stats:
+            assert type(stats) is StreamStats
+        assert vars(tcdm.stats[0]) == vars(link.stats[0]) \
+            == {"grants": 0, "transfers": 0, "stall_cycles": 0}
 
     def test_arbiters_fill_the_shared_fields(self):
         tcdm = BankedTcdm(n_banks=4, bank_stagger_words=0)
         tcdm.access(0, 0, 4, 0)
         tcdm.access(1, 0, 4, 0)          # same bank, same cycle
         assert tcdm.stats[0].grants == 2
-        assert tcdm.stats[0].accesses == 2
+        assert tcdm.stats[0].stall_cycles == 1
         assert tcdm.total_conflict_cycles == 1
         link = SocInterconnect(n_clusters=1)
         link.transfer(0, 4, 0)
         assert link.stats[0].grants == 4
-        assert link.stats[0].beats == 4
         assert link.stats[0].transfers == 1
 
 
 class TestTransferEngineTiming:
-    """The base engine reproduces the historical ClusterDma model."""
+    """The base engine is the cluster DMA model."""
 
     def test_bandwidth_latency_completion(self):
         engine = TransferEngine(bandwidth=8, setup_latency=16)
@@ -88,12 +68,12 @@ class TestTransferEngineTiming:
         assert engine.drain_time == second
 
     def test_cluster_dma_is_a_thin_configuration(self):
-        assert issubclass(ClusterDma, TransferEngine)
+        dma = ClusterMachine().dma
+        assert type(dma) is TransferEngine
+        assert (dma.bandwidth, dma.setup_latency) == (8, 16)
+        # No timing logic of its own: the channel uses the engine's.
         assert issubclass(SocDmaChannel, TransferEngine)
-        # No timing logic of their own: both use the engine's start.
-        assert "start" not in ClusterDma.__dict__
         assert "start" not in SocDmaChannel.__dict__
-        assert DmaTransfer is Transfer
 
     def test_direction_classification(self):
         engine = TransferEngine()
@@ -110,7 +90,7 @@ class TestTransferEngineTiming:
         assert engine.stream_stats[Direction.WRITE].grants == 4
 
     def test_soc_channel_uncontended_matches_cluster_engine(self):
-        plain = ClusterDma(bandwidth=8, setup_latency=16)
+        plain = TransferEngine(bandwidth=8, setup_latency=16)
         channel = SocDmaChannel(
             cluster_id=0, interconnect=SocInterconnect(n_clusters=1),
             bandwidth=8, setup_latency=16)
@@ -288,7 +268,7 @@ class TestPluggableArbiter:
         free = TransferEngine(bandwidth=8, setup_latency=16,
                               arbiter=link_only.transfer)
         assert done > free.start(0, 0x0, L2, 64, now=0)
-        assert link.stats[0].beats == 8  # the link still granted all
+        assert link.stats[0].grants == 8  # the link still granted all
 
 
 class TestL2MemoryExhaustion:

@@ -22,7 +22,6 @@ from repro.obs import (
     MetricsRegistry,
     ObsSink,
     ProfileNode,
-    TraceEvent,
     chrome_trace,
     render_profile,
     render_timeline,
@@ -395,22 +394,24 @@ class TestMetricKinds:
 
 class TestTimelineRendering:
     def test_trailing_gap_elided(self):
-        events = [TraceEvent("int", 0, "addi")]
-        text = render_timeline(events, start=0, end=50)
+        sink = ObsSink()
+        sink.emit("core", "int", "addi", 0, 1, "issue", {"pc": 0})
+        text = render_timeline(sink, "core", start=0, end=50)
         assert text.rstrip().endswith("...")
 
     def test_show_pc(self):
-        events = [TraceEvent("int", 0, "addi", pc=12)]
-        text = render_timeline(events, show_pc=True)
+        sink = ObsSink()
+        sink.emit("core", "int", "addi", 0, 1, "issue", {"pc": 12})
+        text = render_timeline(sink, "core", show_pc=True)
         assert "#12" in text
-        assert "#" not in render_timeline(events)
+        assert "#" not in render_timeline(sink, "core")
 
     def test_wide_mnemonic_marked_not_misaligned(self):
-        events = [
-            TraceEvent("int", 0, "a.very.long.mnemonic.indeed"),
-            TraceEvent("fp", 0, "fmadd.d"),
-        ]
-        text = render_timeline(events, width=10)
+        sink = ObsSink()
+        sink.emit("core", "int", "a.very.long.mnemonic.indeed", 0, 1,
+                  "issue", {"pc": 0})
+        sink.emit("core", "fp", "fmadd.d", 0, 1, "issue")
+        text = render_timeline(sink, "core", width=10)
         row = next(line for line in text.splitlines()
                    if "fmadd.d" in line)
         assert "~" in row

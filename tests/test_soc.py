@@ -12,9 +12,10 @@ in per-link stall stats, and disappears with the contention model off.
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterDma, partition_kernel
+from repro.cluster import partition_kernel
 from repro.kernels.common import MAIN_REGION
 from repro.kernels.registry import KERNELS, kernel
+from repro.mem import L2_WINDOW_BASE, TransferEngine
 from repro.sim import MemoryError_
 from repro.soc import (
     L2Memory,
@@ -48,7 +49,7 @@ class TestSocInterconnect:
     def test_uncontended_one_beat_per_cycle(self):
         link = SocInterconnect(n_clusters=2)
         assert link.transfer(0, nbeats=4, start=100) == 104
-        assert link.stats[0].beats == 4
+        assert link.stats[0].grants == 4
         assert link.stats[0].stall_cycles == 0
 
     def test_zero_beats_is_free(self):
@@ -134,7 +135,7 @@ class TestSocDmaChannel:
     def test_uncontended_matches_cluster_dma(self):
         """Same transfer schedule => same completion times as the
         standalone engine (the invariant's DMA leg)."""
-        plain = ClusterDma(bandwidth=8, setup_latency=16)
+        plain = TransferEngine(bandwidth=8, setup_latency=16)
         channel = SocDmaChannel(
             cluster_id=0, interconnect=SocInterconnect(n_clusters=1),
             bandwidth=8, setup_latency=16)
@@ -147,14 +148,12 @@ class TestSocDmaChannel:
         assert channel.bytes_moved == plain.bytes_moved
 
     def test_l2_traffic_counted(self):
-        from repro.cluster.partition import L2_BASE
-
         l2 = L2Memory()
         channel = SocDmaChannel(
             cluster_id=0, interconnect=SocInterconnect(n_clusters=1),
             l2=l2, bandwidth=8, setup_latency=16)
-        channel.start(0, 0x1000, L2_BASE, 256, now=0)     # L2 -> TCDM
-        channel.start(0, L2_BASE + 0x400, 0x1000, 64, now=0)
+        channel.start(0, 0x1000, L2_WINDOW_BASE, 256, now=0)  # L2 -> TCDM
+        channel.start(0, L2_WINDOW_BASE + 0x400, 0x1000, 64, now=0)
         assert l2.bytes_read == 256
         assert l2.bytes_written == 64
 

@@ -200,7 +200,7 @@ class TestQosArbiter:
     def test_zero_beats_is_a_noop_grant(self):
         arbiter = QosArbiter(weights=(1,))
         assert arbiter.transfer(0, 0, 100) == 100
-        assert arbiter.stats[0].beats == 0
+        assert arbiter.stats[0].grants == 0
         assert arbiter.stats[0].transfers == 1
 
     def test_fcfs_mode_serializes_under_the_cap(self):
