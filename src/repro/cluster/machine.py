@@ -12,9 +12,15 @@ cores with the shared-resource timing models of this package:
 Execution is event-driven: the driver repeatedly steps the core whose
 integer issue timeline is furthest behind, so cores advance roughly in
 lock-step simulated time and shared-resource claims line up with the
-cycles they model.  Functional state is per-core — each core binds its
-own program over its own (or an explicitly shared) memory image — which
-keeps correctness independent of the stepping interleave; only *timing*
+cycles they model.  The runnable cores sit in a heap keyed
+``(int_time, core_id)``: lowest issue time first, ties broken by core
+id.  Only the stepped core's key changes (a barrier release is the one
+other writer of ``int_time``), so a step re-keys one entry instead of
+rescanning every core.  Barrier-parked cores leave the heap and keep
+their arrival clock; once no core is runnable the release puts them all
+back.  Functional state is per-core — each core binds its own program
+over its own (or an explicitly shared) memory image — which keeps
+correctness independent of the stepping interleave; only *timing*
 couples the cores.  With a single core and no DMA/barrier instructions
 the composition is cycle-identical to a bare ``Machine`` run.
 """
@@ -22,6 +28,7 @@ the composition is cycle-identical to a bare ``Machine`` run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 
 from ..isa.program import Program
 from ..mem import TransferEngine
@@ -31,14 +38,6 @@ from ..sim.machine import Machine, SimulationError
 from ..sim.memory import Memory
 from .config import ClusterConfig
 from .tcdm import BankedTcdm
-
-
-def _sum_counters(parts: list[Counters]) -> Counters:
-    total = Counters()
-    for part in parts:
-        for name, value in vars(part).items():
-            setattr(total, name, getattr(total, name) + value)
-    return total
 
 
 @dataclass
@@ -89,7 +88,7 @@ class ClusterRunResult:
         return RegionMeasurement(
             name,
             max(p.cycles for p in parts),
-            _sum_counters([p.counters for p in parts]),
+            Counters.sum([p.counters for p in parts]),
         )
 
 
@@ -123,9 +122,12 @@ class ClusterMachine:
         self.barrier_count = 0
         #: Index within an enclosing SocMachine (0 standalone).
         self.cluster_id = 0
-        self._active: list[Machine] = []
+        #: Runnable cores as ``(int_time, core_id, machine)``, a heap.
+        self._ready: list[tuple[int, int, Machine]] = []
+        #: Barrier-parked cores and the least of their (frozen) clocks.
+        self._parked: list[Machine] = []
+        self._parked_time = 0
         self._finished: list[Machine] = []
-        self._bound = False
         #: Structured-event sink (repro.obs.ObsSink); None when off.
         self.obs = None
         #: Scope this cluster emits under (``soc/cluster{c}`` inside a
@@ -211,13 +213,10 @@ class ClusterMachine:
             # Cores sharing one Program object share its decode: the
             # DecodedProgram cache rides on the Program itself.
             machine.bind(program, max_steps)
-        self._active = [m for m in self.cores]
+        self._ready = [(m.sched.int_time, m.core_id, m) for m in self.cores]
+        heapify(self._ready)
+        self._parked = []
         self._finished = []
-        self._bound = True
-
-    @property
-    def finished(self) -> bool:
-        return self._bound and not self._active
 
     @property
     def laggard_time(self) -> int:
@@ -227,9 +226,15 @@ class ClusterMachine:
         parked cluster reports the time its pending release resolves
         around — which is what an enclosing SoC driver should order on.
         """
-        if not self._active:
-            return max((m.sched.int_time for m in self.cores), default=0)
-        return min(m.sched.int_time for m in self._active)
+        ready = self._ready
+        if ready:
+            time = ready[0][0]
+            if self._parked and self._parked_time < time:
+                return self._parked_time
+            return time
+        if self._parked:
+            return self._parked_time
+        return max((m.sched.int_time for m in self.cores), default=0)
 
     def step(self) -> bool:
         """Advance the cluster by one dynamic instruction (or one
@@ -237,22 +242,36 @@ class ClusterMachine:
 
         Returns False once every core has finished.
         """
-        active = self._active
-        if not active:
-            return False
-        runnable = [m for m in active if not m.sched.barrier_wait]
-        if not runnable:
-            self._release_barrier(active, self._finished)
+        ready = self._ready
+        if not ready:
+            parked = self._parked
+            if not parked:
+                return False
+            # Every unfinished core waits at the barrier: release them.
+            # Release sets one clock for all, so core order is a heap.
+            parked.sort(key=lambda m: m.core_id)
+            self._release_barrier(parked, self._finished)
+            self._ready = [(m.sched.int_time, m.core_id, m) for m in parked]
+            self._parked = []
             return True
         # Step the core furthest behind on its issue timeline so
-        # shared-resource claims happen in (approximate) cycle
-        # order.  Ties break by core id: deterministic.
-        machine = min(runnable,
-                      key=lambda m: (m.sched.int_time, m.core_id))
-        if not machine.sched.step():
-            active.remove(machine)
+        # shared-resource claims happen in (approximate) cycle order.
+        # Ties break by core id: deterministic.  Only this core's key
+        # can change, so the rest of the heap stays ordered.
+        machine = ready[0][2]
+        sched = machine.sched
+        if not sched.step():
+            heappop(ready)
             self._finished.append(machine)
-        return bool(active)
+        elif sched.barrier_wait:
+            heappop(ready)
+            if not self._parked or sched.int_time < self._parked_time:
+                self._parked_time = sched.int_time
+            self._parked.append(machine)
+        else:
+            heapreplace(ready, (sched.int_time, machine.core_id, machine))
+            return True
+        return bool(ready or self._parked)
 
     def result(self) -> ClusterRunResult:
         """Aggregate measurements of everything executed so far."""
@@ -260,7 +279,7 @@ class ClusterMachine:
         return ClusterRunResult(
             cycles=max(r.cycles for r in results),
             core_results=results,
-            counters=_sum_counters([r.counters for r in results]),
+            counters=Counters.sum([r.counters for r in results]),
             tcdm_accesses=self.tcdm.total_accesses,
             tcdm_conflict_cycles=self.tcdm.total_conflict_cycles,
             tcdm_bank_conflicts=[s.stall_cycles

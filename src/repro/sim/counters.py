@@ -7,6 +7,7 @@ reads cycles/instruction counts for IPC, speedup and region measurements.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
@@ -116,6 +117,15 @@ class Counters:
             name: value - getattr(earlier, name)
             for name, value in vars(self).items()
         })
+
+    @classmethod
+    def sum(cls, parts: Iterable[Counters]) -> Counters:
+        """Field-wise sum of *parts* (zero counters when empty)."""
+        total = cls()
+        for part in parts:
+            for name, value in vars(part).items():
+                setattr(total, name, getattr(total, name) + value)
+        return total
 
     @property
     def total_issued(self) -> int:

@@ -14,7 +14,9 @@ an SoC sharing one L2 behind a bandwidth-limited interconnect:
   interconnect instead of landing one per cycle, L2 endpoints tallied
   on the shared store.
 * :class:`SocMachine` — event-driven C-cluster driver stepping the
-  laggard cluster first, exactly as a cluster steps its cores.
+  laggard cluster first from a heap keyed ``(laggard_time,
+  cluster_id)``, exactly as a cluster steps its cores from one keyed
+  ``(int_time, core_id)``.
 * :func:`partition_soc_kernel` — static chunking of the six registered
   kernels across clusters, then cores (globally unique seeds,
   L2-sourced DMA staging).

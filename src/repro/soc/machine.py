@@ -14,7 +14,12 @@ Execution is event-driven the same way a cluster steps its cores: the
 driver repeatedly steps the *cluster* whose laggard core is furthest
 behind in simulated time, and that cluster in turn steps its own
 laggard core — so interconnect claims line up with the cycles they
-model across the whole SoC.  Functional state stays per-core, exactly
+model across the whole SoC.  The clusters sit in a heap keyed
+``(laggard_time, cluster_id)``; a step moves only the stepped
+cluster's clock, so only its entry is re-keyed, and a cluster whose
+last core finished leaves the heap.  A fully barrier-parked cluster
+keeps reporting its cores' arrival clock, so it is ordered on the time
+its release resolves around.  Functional state stays per-core, exactly
 as in the cluster layer, so correctness is independent of the stepping
 interleave; only timing couples the clusters.  With a single cluster
 and the default (uncontended) interconnect the composition is
@@ -24,6 +29,7 @@ cycle-identical to a bare ``ClusterMachine``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING
 
 from ..cluster.machine import ClusterMachine, ClusterRunResult
@@ -36,14 +42,6 @@ from .l2 import L2Memory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.config import ClusterConfig
-
-
-def _sum_counters(parts: list[Counters]) -> Counters:
-    total = Counters()
-    for part in parts:
-        for name, value in vars(part).items():
-            setattr(total, name, getattr(total, name) + value)
-    return total
 
 
 class SocDmaChannel(TransferEngine):
@@ -167,7 +165,7 @@ class SocRunResult:
         return RegionMeasurement(
             name,
             max(p.cycles for p in parts),
-            _sum_counters([p.counters for p in parts]),
+            Counters.sum([p.counters for p in parts]),
         )
 
 
@@ -247,21 +245,30 @@ class SocMachine:
                              "first")
         for cluster in self.clusters:
             cluster.bind(max_steps)
-        active = list(self.clusters)
         # Step the cluster whose laggard core is furthest behind, so
         # cross-cluster interconnect claims happen in (approximate)
-        # cycle order.  Ties break by cluster id: deterministic.
-        while active:
-            cluster = min(active,
-                          key=lambda c: (c.laggard_time, c.cluster_id))
-            if not cluster.step():
-                active.remove(cluster)
+        # cycle order.  Ties break by cluster id: deterministic.  A
+        # step moves only the stepped cluster's clock, so only its
+        # heap entry is re-keyed.
+        heap = [(c.laggard_time, c.cluster_id, c) for c in self.clusters]
+        heapify(heap)
+        while heap:
+            cluster = heap[0][2]
+            if cluster.step():
+                heapreplace(heap, (cluster.laggard_time,
+                                   cluster.cluster_id, cluster))
+            else:
+                heappop(heap)
+        return self.result()
+
+    def result(self) -> SocRunResult:
+        """Aggregate measurements of everything executed so far."""
         results = [c.result() for c in self.clusters]
         stats = self.interconnect.stats
         return SocRunResult(
             cycles=max(r.cycles for r in results),
             cluster_results=results,
-            counters=_sum_counters([r.counters for r in results]),
+            counters=Counters.sum([r.counters for r in results]),
             link_beats=[s.grants for s in stats],
             link_stall_cycles=[s.stall_cycles for s in stats],
             l2_bytes_read=self.l2.bytes_read,

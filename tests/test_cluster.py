@@ -7,6 +7,8 @@ correctness with two cores hammering one bank, and bit-identical
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scan_driver import record_steps, scan_run_cluster
 
 from repro.cluster import (
     BankedTcdm,
@@ -177,6 +179,101 @@ class TestBarrier:
         cluster.add_core(without.build(), Memory(1 << 12))
         with pytest.raises(SimulationError, match="barrier mismatch"):
             cluster.run()
+
+    def test_barrier_mismatch_raises_when_lower_core_skips_it(self):
+        """The core without the barrier has the lower id: it finishes
+        while core 1 is parked, and the mismatch is found when no core
+        is left runnable."""
+        config = ClusterConfig(n_cores=2)
+        cluster = ClusterMachine(config=config)
+        without = ProgramBuilder()
+        without.nop()
+        with_barrier = ProgramBuilder()
+        with_barrier.cluster_barrier()
+        cluster.add_core(without.build(), Memory(1 << 12))
+        cluster.add_core(with_barrier.build(), Memory(1 << 12))
+        with pytest.raises(SimulationError,
+                           match=r"cores \[1\] wait .* cores \[0\] exited"):
+            cluster.run()
+
+
+#: Straight-line op kinds the stepping-order test composes programs
+#: from; "amo" is only given to cores 0 and 1 (one shared counter).
+_OPS = ("alu", "load", "store", "fp", "fp_load", "spin", "amo")
+
+
+def _random_core_program(core_id: int, segments: list[list[tuple]]):
+    """One core's program: *segments* separated by cluster barriers."""
+    b = ProgramBuilder()
+    b.li("a0", 0x200 + 0x40 * core_id)      # private words
+    b.li("a4", 0x100)                        # shared amo counter
+    b.li("a3", 1)
+    for i, segment in enumerate(segments):
+        if i:
+            b.cluster_barrier()
+        for kind, arg in segment:
+            if kind == "alu":
+                b.addi("t1", "t1", arg)
+            elif kind == "load":
+                b.lw("t2", 4 * arg, "a0")
+            elif kind == "store":
+                b.sw("t1", 4 * arg, "a0")
+            elif kind == "fp":
+                b.fadd_d("fa0", "fa0", "fa1")
+            elif kind == "fp_load":
+                b.fld("fa1", 8 * (arg % 8), "a0")
+            elif kind == "spin":
+                loop = b.fresh_label("spin")
+                b.li("a1", 0)
+                b.li("a2", arg)
+                b.label(loop)
+                b.addi("a1", "a1", 1)
+                b.bne("a1", "a2", loop)
+            elif core_id < 2:                   # "amo"
+                b.amoadd_w("t0", 0, "a4", "a3")
+    return b.build()
+
+
+@st.composite
+def _cluster_programs(draw):
+    n_cores = draw(st.integers(1, 8))
+    n_barriers = draw(st.integers(0, 3))
+    op = st.tuples(st.sampled_from(_OPS), st.integers(1, 12))
+    return [
+        _random_core_program(core_id, [
+            draw(st.lists(op, max_size=12))
+            for _ in range(n_barriers + 1)
+        ])
+        for core_id in range(n_cores)
+    ]
+
+
+class TestSteppingOrder:
+    """The heap driver steps cores in exactly the order of a full
+    ``min((int_time, core_id))`` rescan, and so yields identical
+    results."""
+
+    @staticmethod
+    def _run(programs, driver):
+        config = ClusterConfig(n_cores=len(programs),
+                               bank_stagger_words=0)
+        cluster = ClusterMachine(config=config)
+        shared = Memory(1 << 12)
+        for program in programs:
+            cluster.add_core(program, shared)
+        log = []
+        record_steps(cluster.cores, log)
+        return driver(cluster), log, bytes(shared.data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs=_cluster_programs())
+    def test_heap_driver_matches_rescan(self, programs):
+        result, order, memory = self._run(programs, ClusterMachine.run)
+        ref_result, ref_order, ref_memory = self._run(programs,
+                                                      scan_run_cluster)
+        assert order == ref_order
+        assert result == ref_result
+        assert memory == ref_memory
 
 
 class TestAtomics:

@@ -9,8 +9,11 @@ narrower than the aggregate DMA demand stretches transfers, shows up
 in per-link stall stats, and disappears with the contention model off.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scan_driver import record_steps, scan_run_soc
 
 from repro.cluster import partition_kernel
 from repro.kernels.common import MAIN_REGION
@@ -25,6 +28,7 @@ from repro.soc import (
     SocMachine,
     SocWorkload,
     partition_soc_kernel,
+    soc_config_for,
 )
 
 
@@ -318,6 +322,68 @@ class TestSocContention:
     def test_two_clusters_do_not_contend_at_default_link(self):
         result = self._run(2)
         assert sum(result.link_stall_cycles) == 0
+
+
+class TestSteppingOrder:
+    """The SoC heap driver steps clusters (and they their cores) in
+    exactly the order of a full ``min((laggard_time, cluster_id))``
+    rescan, and so yields identical results."""
+
+    @staticmethod
+    def _soc(names, variant, writeback, log, on_step=None):
+        """An SoC of len(*names*) x 2 cores, cluster c running the
+        cluster-c chunk of kernel ``names[c]``, on a one-beat link."""
+        n_clusters = len(names)
+        workloads = {
+            name: partition_soc_kernel(kernel(name), 512 * n_clusters,
+                                       n_clusters, 2, variant=variant,
+                                       writeback=writeback)
+            for name in set(names)
+        }
+        base = SocConfig(link_beats_per_cycle=1, model_contention=True)
+        config = soc_config_for(workloads[names[0]], base,
+                                replace(base.cluster, writeback=writeback))
+        soc = SocMachine(config=config)
+        for c, name in enumerate(names):
+            cluster = soc.add_cluster()
+            instances = workloads[name].cluster_workloads[c].instances
+            for m, instance in enumerate(instances):
+                cluster.add_core(instance.program, instance.memory)
+                SocWorkload._stage_into_l2(soc, c, m, instance)
+            record_steps(cluster.cores, log, on_step)
+        return soc
+
+    @pytest.mark.parametrize("names, variant, writeback, parks", [
+        # soc:2x2+wb: staging and drain beats contend on the link.
+        (("expf", "expf"), "copift", True, False),
+        # soc:4x2: two DMA clusters contend on the link while the two
+        # Monte Carlo clusters, tied in time, each sit fully parked at
+        # their final barrier while other clusters step.
+        (("expf", "expf", "pi_lcg", "pi_lcg"), "baseline", False, True),
+    ])
+    def test_heap_driver_matches_rescan(self, names, variant, writeback,
+                                        parks):
+        soc = None
+        parked_while_others_ran = []
+
+        def note_parked(machine):
+            # Another cluster has every core parked at a barrier while
+            # this one steps: its laggard_time is its cores' frozen
+            # arrival clock.
+            if any(c is not machine.cluster
+                   and all(m.sched.barrier_wait for m in c.cores)
+                   for c in soc.clusters):
+                parked_while_others_ran.append(machine.cluster.cluster_id)
+
+        order, ref_order = [], []
+        soc = self._soc(names, variant, writeback, order, note_parked)
+        result = soc.run()
+        ref_soc = self._soc(names, variant, writeback, ref_order)
+        ref_result = scan_run_soc(ref_soc)
+        assert sum(result.link_stall_cycles) > 0
+        assert parked_while_others_ran or not parks
+        assert order == ref_order
+        assert result == ref_result
 
 
 class TestSocMachineGuards:
